@@ -172,11 +172,11 @@ func BenchmarkHAChaos(b *testing.B) {
 }
 
 // BenchmarkParallelDES regenerates the parallel-simulator scaling
-// figure: serial vs 1/2/4/8-shard wall time on a generated 16-cluster
-// scenario, plus the GOMAXPROCS-independence fingerprint check.
+// figure: 1/2/4/8-shard wall time on a generated 16-cluster scenario,
+// plus the shard-count and GOMAXPROCS independence fingerprint checks.
 func BenchmarkParallelDES(b *testing.B) {
 	runFigure(b, experiments.ParallelDES,
-		"speedup_shards_8", "serial_wall_ms", "wall_ms_shards_8", "determinism_ok")
+		"speedup_shards_8", "wall_ms_shards_1", "wall_ms_shards_8", "determinism_ok")
 }
 
 // BenchmarkRegret regenerates the demand-uncertainty evaluation: the

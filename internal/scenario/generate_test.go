@@ -295,8 +295,8 @@ func TestGenerateDynamicsValid(t *testing.T) {
 }
 
 // TestGenerateRunsUnderSimrun is the end-to-end property: a generated
-// scenario runs under both the serial and the parallel engine, and the
-// parallel run is shard-count deterministic.
+// scenario runs under Run (one shard) and on four shards, and the
+// sharded run is reproducible.
 func TestGenerateRunsUnderSimrun(t *testing.T) {
 	g, err := Generate(GenSpec{Seed: 17, Clusters: 8, Services: 32, Classes: 6,
 		TotalRPS: 300, TailAlpha: 1.8, ChurnEvents: 4, HotspotClasses: 1, StormClasses: 1,

@@ -1,6 +1,7 @@
-// Parallel scenario execution: RunParallel partitions a scenario's
-// clusters across sim.Group shards and runs them under conservative
-// virtual-time synchronization (see internal/sim/group.go).
+// The request engine: RunParallel partitions a scenario's clusters
+// across sim.Group shards and runs them under conservative virtual-time
+// synchronization (see internal/sim/group.go). Run is its one-shard
+// case; there is no other engine.
 //
 // The partition exploits the model's physics: a cluster's pools,
 // telemetry aggregator, and rule-freshness clock are touched only by
@@ -22,14 +23,18 @@
 //
 // Determinism: all cross-shard ordering is delegated to sim.Group's
 // (time, shard, seq) barrier exchange, every RNG stream is derived by
-// name from the scenario seed (never from shard indices), and results
-// are merged in fixed shard order — so a run is bit-identical for a
-// given (seed, shard count) at any GOMAXPROCS. Routing-pick draws come
-// from per-cluster streams ("picks@<cluster>") rather than the serial
-// runner's single global stream, so serial and parallel runs of the
-// same seed agree statistically but not bitwise; the differential tests
-// pin Generated/Completed exactly and the latency moments to tight
-// tolerances.
+// name from the scenario seed — arrivals per (class, cluster), service
+// times per pool, routing picks per source cluster ("picks@<cluster>")
+// — never from shard indices, and results are merged in fixed shard
+// order. A run is therefore bit-identical for a given (seed, shard
+// count) at any GOMAXPROCS. Across shard counts the draws are the same
+// and results agree exactly unless two events tie on a timestamp: a
+// cross-shard message enters its kernel at a barrier, after the events
+// already queued for that instant, so such a tie may break differently
+// under another partition. Per-class Samples are concatenated in shard
+// order, so only their multiset, not their order, is partition-free.
+// The differential tests compare Run (one shard) with four shards for
+// exact equality.
 package simrun
 
 import (
@@ -68,7 +73,8 @@ type ParallelStats struct {
 	Messages uint64
 	// Events is the total number of DES events fired across shards.
 	Events uint64
-	// Lookahead is the conservative lookahead the run used.
+	// Lookahead is the conservative lookahead the run used (the whole
+	// Duration on one shard).
 	Lookahead time.Duration
 }
 
@@ -243,7 +249,10 @@ func buildPartition(scn *Scenario, want int) partition {
 	}
 
 	// Lookahead: the minimum network delay any cross-shard event pays.
-	p.lookahead = time.Millisecond
+	// With no cross-shard pair (one shard) no event can arrive from
+	// another shard, so the lookahead may span the whole run: control
+	// ticks are then the only barriers.
+	p.lookahead = scn.Duration
 	first := true
 	for i := range ids {
 		for j := i + 1; j < len(ids); j++ {
@@ -260,9 +269,9 @@ func buildPartition(scn *Scenario, want int) partition {
 	return p
 }
 
-// shardRun is the per-shard mirror of the serial runner: pools,
-// aggregators, freshness clocks, and counters for the clusters the
-// shard owns. All fields are touched only from the shard's own window
+// shardRun is one shard's part of a run: pools, aggregators, pick
+// streams, freshness clocks, and counters for the clusters the shard
+// owns. All fields are touched only from the shard's own window
 // goroutine (or from the coordinator at a quiescent barrier).
 type shardRun struct {
 	id  int
@@ -308,9 +317,9 @@ type parRun struct {
 	mPartition *obs.Counter
 }
 
-// RunParallel executes the scenario like Run, but sharded across
-// kernels with conservative synchronization. See the package comment in
-// this file for the determinism contract relative to Run.
+// RunParallel executes the scenario under the policy, sharded across
+// kernels with conservative synchronization. See the comment at the top
+// of this file for the determinism contract across shard counts.
 func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error) {
 	if err := scn.Validate(); err != nil {
 		return nil, err
@@ -410,8 +419,8 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 		}
 	}
 
-	// Arrivals, scheduled on the arrival cluster's shard from the same
-	// named streams the serial runner uses.
+	// Arrivals (pre-generated so policies see identical loads), scheduled
+	// on the arrival cluster's shard.
 	for _, spec := range scn.Workload {
 		spec := spec
 		stream := root.DeriveNamed("arrivals/" + spec.Class + "@" + string(spec.Cluster))
@@ -456,9 +465,10 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 		}
 	}
 
-	// Drive windows between control barriers, then drain. Ticks fire at
-	// i×ControlPeriod for i = 1, 2, … exactly while the serial runner's
-	// rescheduling chain would (first tick unconditional).
+	// Drive windows between control barriers, then drain in-flight work
+	// (arrivals stop at Duration; completions beyond it still count).
+	// Ticks fire at i×ControlPeriod for i = 1, 2, … while that is before
+	// Duration; the first tick fires regardless.
 	if scn.ControlPeriod > 0 {
 		for i := 1; ; i++ {
 			at := time.Duration(i) * scn.ControlPeriod
@@ -480,7 +490,9 @@ func RunParallel(scn Scenario, pol Policy, opt ParallelOptions) (*Result, error)
 
 // controlTick runs one control round at a quiescent barrier: flush
 // every cluster's window (in topology order), merge, tick the policy,
-// refresh rules, account wire bytes.
+// refresh rules, account wire bytes. While the global controller is
+// down there is no optimization and no rule push, so every cluster's
+// rules age toward RuleTTL.
 func (p *parRun) controlTick(now time.Duration) {
 	var groups [][]telemetry.WindowStats
 	for _, c := range p.scn.Top.ClusterIDs() {
@@ -524,6 +536,8 @@ func (sr *shardRun) nextSpan() uint64 {
 	return uint64(sr.id+1)<<48 | sr.spanSeq
 }
 
+// degradedAt reports whether cluster c's proxies have passed the rule
+// staleness TTL at now and must degrade to local-biased routing.
 func (sr *shardRun) degradedAt(c topology.ClusterID, now sim.Time) bool {
 	if sr.par.scn.RuleTTL <= 0 {
 		return false
@@ -531,7 +545,9 @@ func (sr *shardRun) degradedAt(c topology.ClusterID, now sim.Time) bool {
 	return (now - sr.lastFresh[c]).Duration() > sr.par.scn.RuleTTL
 }
 
-func (sr *shardRun) accountEgress(k *sim.Kernel, from, to topology.ClusterID, bytes int64) {
+// accountEgress charges one cross-cluster message to the sending
+// cluster.
+func (sr *shardRun) accountEgress(from, to topology.ClusterID, bytes int64) {
 	if bytes <= 0 {
 		return
 	}
@@ -544,6 +560,9 @@ func (sr *shardRun) accountEgress(k *sim.Kernel, from, to topology.ClusterID, by
 	}, 0, bytes)
 }
 
+// fallbackCluster picks where a call goes when its rule names no
+// cluster that runs the service: local if placed here, else the nearest
+// placement.
 func (sr *shardRun) fallbackCluster(svc appgraph.ServiceID, src topology.ClusterID) topology.ClusterID {
 	s := sr.par.scn.App.Services[svc]
 	if s.PlacedIn(src) {
@@ -554,6 +573,7 @@ func (sr *shardRun) fallbackCluster(svc appgraph.ServiceID, src topology.Cluster
 			return c
 		}
 	}
+	// Validate() guarantees at least one placement.
 	return s.Clusters(sr.par.scn.Top)[0]
 }
 
@@ -589,7 +609,9 @@ func (sr *shardRun) startRequest(k *sim.Kernel, class *appgraph.Class, arrival t
 	})
 }
 
-// executeNode mirrors runner.executeNode with one extra arm: when the
+// executeNode runs one call node: route to a cluster, pay the network
+// delay, queue for service, then run children (sequentially or in
+// parallel), and finally pay the response network delay. When the
 // destination cluster lives on another shard, the service + subtree
 // executes there (reached by a cross-shard message after the one-way
 // network delay, which is ≥ the group lookahead by construction), and
@@ -604,6 +626,10 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 	} else {
 		var d routing.Distribution
 		if sr.degradedAt(src, k.Now()) {
+			// Rules are past the staleness TTL: the hardened proxy stops
+			// trusting them and biases local (DESIGN.md degradation
+			// ladder). The pick draw is still consumed so fault-free
+			// prefixes of hardened/unhardened runs stay aligned.
 			sr.degraded++
 			p.mDegraded.Inc()
 			d = routing.Local(src)
@@ -612,6 +638,8 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 		}
 		dst = d.Pick(sr.picks[src].Float64())
 		if dst == "" || !p.scn.App.Services[node.Service].PlacedIn(dst) {
+			// Misconfigured rule (e.g. table routes to a cluster without
+			// replicas): fail over to any placement, nearest first.
 			dst = sr.fallbackCluster(node.Service, src)
 		}
 	}
@@ -622,6 +650,9 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 		ctx.crossed = true
 	}
 
+	// Span export: one span per call node, closed when the node (and its
+	// subtree, and the response hop) completes. selfID doubles as the
+	// children's parent ID so the dump reconstructs the call tree.
 	selfID := parent
 	if p.sink != nil && ctx.trace != 0 {
 		selfID = sr.nextSpan()
@@ -646,7 +677,9 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 	}
 
 	if remote && p.scn.Faults.PartitionedAt(src, dst, k.Now().Duration()) {
-		// Fast-fail after the one-way probe; the subtree never executes,
+		// The inter-cluster link is cut: the call fast-fails after the
+		// one-way probe and the whole request counts as failed. The
+		// subtree never executes — exactly what a connection error does —
 		// so no cross-shard traffic is needed even for a remote target.
 		ctx.failed = true
 		p.mPartition.Inc()
@@ -658,7 +691,7 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 	if remote {
 		netOut = p.scn.Top.OneWay(src, dst)
 		if measure {
-			sr.accountEgress(k, src, dst, node.Work.RequestBytes)
+			sr.accountEgress(src, dst, node.Work.RequestBytes)
 		}
 	}
 
@@ -669,7 +702,7 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 			rctx := &reqCtx{crossed: true, trace: trace}
 			dsr.servePool(k, rctx, class, node, dst, measure, selfID, func(k *sim.Kernel) {
 				if measure {
-					dsr.accountEgress(k, dst, src, node.Work.ResponseBytes)
+					dsr.accountEgress(dst, src, node.Work.ResponseBytes)
 				}
 				failed := rctx.failed
 				dsr.sh.Send(sr.id, k.Now()+sim.Time(p.scn.Top.OneWay(dst, src)), func(k *sim.Kernel) {
@@ -687,7 +720,7 @@ func (sr *shardRun) executeNode(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 		sr.servePool(k, ctx, class, node, dst, measure, selfID, func(k *sim.Kernel) {
 			if remote {
 				if measure {
-					sr.accountEgress(k, dst, src, node.Work.ResponseBytes)
+					sr.accountEgress(dst, src, node.Work.ResponseBytes)
 				}
 				k.After(p.scn.Top.OneWay(dst, src), done)
 				return
@@ -723,7 +756,10 @@ func (sr *shardRun) servePool(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class,
 	pl.submit(k, job)
 }
 
-// runChildren mirrors runner.runChildren on the shard owning `at`.
+// runChildren executes a node's children per its Parallel flag, then
+// calls done, on the shard owning `at`. Each child call with Count > 1
+// repeats sequentially within its own slot (parallel fan-out applies
+// across children, not within one child's repetitions).
 func (sr *shardRun) runChildren(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class, node *appgraph.CallNode, at topology.ClusterID, measure bool, parent uint64, done func(*sim.Kernel)) {
 	children := node.Children
 	if len(children) == 0 {
@@ -757,6 +793,7 @@ func (sr *shardRun) runChildren(k *sim.Kernel, ctx *reqCtx, class *appgraph.Clas
 	next(k, 0)
 }
 
+// repeatCall issues `count` sequential executions of a child node.
 func (sr *shardRun) repeatCall(k *sim.Kernel, ctx *reqCtx, class *appgraph.Class, node *appgraph.CallNode, src topology.ClusterID, measure bool, parent uint64, count int, done func(*sim.Kernel)) {
 	if count <= 0 {
 		done(k)
