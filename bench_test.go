@@ -563,7 +563,7 @@ func benchSnapshot(b *testing.B) *benchSnapshotState {
 		return out
 	}
 	ctrl, err := core.NewController(top, app, core.ControllerConfig{
-		DemandSmoothing: 1, Decompose: true, Predictive: true,
+		DemandSmoothing: 1, Predictive: true,
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -606,7 +606,7 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		b.Fatal(err)
 	}
 	cold, err := core.NewController(s.top, s.app, core.ControllerConfig{
-		DemandSmoothing: 1, Decompose: true, Predictive: true,
+		DemandSmoothing: 1, Predictive: true,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/almost"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -117,13 +118,13 @@ func TestCallRateMultipliers(t *testing.T) {
 		t.Fatalf("Validate: %v", err)
 	}
 	rates := app.Classes[0].CallRate()
-	if !almostEqual(rates["root"], 1) {
+	if !almost.Equal(rates["root"], 1) {
 		t.Errorf("root rate = %v, want 1", rates["root"])
 	}
-	if !almostEqual(rates["a"], 2) {
+	if !almost.Equal(rates["a"], 2) {
 		t.Errorf("a rate = %v, want 2", rates["a"])
 	}
-	if !almostEqual(rates["b"], 7) {
+	if !almost.Equal(rates["b"], 7) {
 		t.Errorf("b rate = %v, want 7", rates["b"])
 	}
 }
@@ -299,7 +300,7 @@ func TestCallRateMatchesBruteForceProperty(t *testing.T) {
 			return false
 		}
 		for k, v := range want {
-			if !almostEqual(got[k], v) {
+			if !almost.Equal(got[k], v) {
 				return false
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/almost"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -161,7 +162,7 @@ func TestLearnedClassIsUsableInApp(t *testing.T) {
 		t.Fatalf("learned app invalid: %v", err)
 	}
 	rates := cl.CallRate()
-	if !almostEqual(rates["db"], 1) {
+	if !almost.Equal(rates["db"], 1) {
 		t.Errorf("db call rate = %v", rates["db"])
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/almost"
 	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/routing"
@@ -66,7 +67,7 @@ func TestWaterfallSpillsExactExcess(t *testing.T) {
 	}
 	// Class-blind: the same rule serves every class.
 	d2 := tab.Lookup("svc-1", "whatever", topology.West)
-	if !almostEqual(d2.Weight(topology.East), d.Weight(topology.East)) {
+	if !almost.Equal(d2.Weight(topology.East), d.Weight(topology.East)) {
 		t.Error("waterfall should be class-blind")
 	}
 }
@@ -114,7 +115,7 @@ func TestWaterfallGreedyPrefersNearest(t *testing.T) {
 	if d.Weight(topology.UT) <= 0 {
 		t.Errorf("OR should spill to UT (nearest): %v", d)
 	}
-	if !almostEqual(d.Weight(topology.SC), 0) {
+	if !almost.Equal(d.Weight(topology.SC), 0) {
 		t.Errorf("greedy waterfall should not touch SC while UT has headroom: %v", d)
 	}
 }
@@ -227,7 +228,7 @@ func TestLocalityFailover(t *testing.T) {
 		t.Fatalf("rules = %d, want 1: %s", tab.Len(), tab)
 	}
 	d := tab.Lookup(string(appgraph.AnomalyDB), routing.AnyClass, topology.West)
-	if !almostEqual(d.Weight(topology.East), 1) {
+	if !almost.Equal(d.Weight(topology.East), 1) {
 		t.Errorf("failover = %v", d)
 	}
 }
@@ -244,7 +245,7 @@ func TestLocalityFailoverPicksNearest(t *testing.T) {
 	}
 	// From OR, nearest DB host: UT has none; IOW (37ms) beats SC (66ms).
 	d := tab.Lookup(string(appgraph.AnomalyDB), routing.AnyClass, topology.OR)
-	if !almostEqual(d.Weight(topology.IOW), 1) {
+	if !almost.Equal(d.Weight(topology.IOW), 1) {
 		t.Errorf("OR DB failover = %v, want IOW", d)
 	}
 }
@@ -309,11 +310,11 @@ func TestStaticWeighted(t *testing.T) {
 	}
 	// East has no entry: stays local.
 	de := tab.Lookup("svc-1", routing.AnyClass, topology.East)
-	if !almostEqual(de.Weight(topology.East), 1) {
+	if !almost.Equal(de.Weight(topology.East), 1) {
 		t.Errorf("east should stay local: %v", de)
 	}
 	// Class-blind.
-	if !almostEqual(tab.Lookup("svc-1", "anything", topology.West).Weight(topology.East), d.Weight(topology.East)) {
+	if !almost.Equal(tab.Lookup("svc-1", "anything", topology.West).Weight(topology.East), d.Weight(topology.East)) {
 		t.Error("static weighted should be class-blind")
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/almost"
 	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/core"
 	"github.com/servicelayernetworking/slate/internal/dataplane"
@@ -290,7 +291,7 @@ func TestTableJSONRoundTrip(t *testing.T) {
 		t.Fatalf("round trip lost data: v%d len %d", got.Version, got.Len())
 	}
 	d := got.Lookup("s", "H", topology.West)
-	if w := d.Weight(topology.East); !almostEqual(w, 0.75) {
+	if w := d.Weight(topology.East); !almost.Equal(w, 0.75) {
 		t.Errorf("east weight = %v, want 0.75", w)
 	}
 }

@@ -181,7 +181,7 @@ func TestDeposedLeaderCannotOverwrite(t *testing.T) {
 	const ttl = 10 * time.Second
 	top := topology.TwoClusters(40 * time.Millisecond)
 	mkReplica := func() (*Global, string) {
-		ctrl, err := core.NewController(top, chainApp(), core.ControllerConfig{DemandSmoothing: 1, Decompose: true})
+		ctrl, err := core.NewController(top, chainApp(), core.ControllerConfig{DemandSmoothing: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

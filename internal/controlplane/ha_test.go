@@ -90,7 +90,7 @@ func newHARig(t *testing.T, n int, cfg HAConfig) *haRig {
 	top := topology.TwoClusters(40 * time.Millisecond)
 	for i := 0; i < n; i++ {
 		ctrl, err := core.NewController(top, chainApp(), core.ControllerConfig{
-			DemandSmoothing: 1, Decompose: true,
+			DemandSmoothing: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -368,7 +368,7 @@ func TestTickErrorMetricAcrossFaultSchedule(t *testing.T) {
 func TestEventDrivenResolve(t *testing.T) {
 	top := topology.TwoClusters(40 * time.Millisecond)
 	ctrl, err := core.NewController(top, starApp2(), core.ControllerConfig{
-		DemandSmoothing: 1, Decompose: true,
+		DemandSmoothing: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -459,7 +459,7 @@ func TestEventSolveDeterminism(t *testing.T) {
 	run := func() (breaches, solves uint64, version uint64) {
 		top := topology.TwoClusters(40 * time.Millisecond)
 		ctrl, err := core.NewController(top, starApp2(), core.ControllerConfig{
-			DemandSmoothing: 1, Decompose: true,
+			DemandSmoothing: 1,
 		})
 		if err != nil {
 			t.Fatal(err)

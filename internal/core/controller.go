@@ -37,20 +37,13 @@ type ControllerConfig struct {
 	// GuardTolerance is the relative degradation that triggers rollback
 	// (default 0.15).
 	GuardTolerance float64
-	// Decompose replaces the monolithic optimizer with a
-	// ShardedOptimizer: independent (call-graph component × class)
-	// subproblems, each warm-started and skipped entirely when its
-	// telemetry inputs are unchanged within SkipEpsilon.
+	// Deprecated: ignored; the controller always decomposes.
 	Decompose bool
-	// SkipEpsilon is the relative input-change threshold below which a
-	// decomposed subproblem reuses its previous solution (default
-	// DefaultSkipEpsilon). Only used with Decompose.
-	SkipEpsilon float64
 	// Search arms the anytime local-search optimizer as a race against
-	// the warm simplex on every dirty shard (implies the decomposed
-	// pipeline): search wins when it certifies a table within MaxGap of
-	// the LP optimum inside SearchDeadline, otherwise the simplex runs,
-	// and on both failing the incumbent table is held.
+	// the warm simplex on every dirty shard: search wins when it
+	// certifies a table within MaxGap of the LP optimum inside
+	// SearchDeadline, otherwise the simplex runs, and on both failing
+	// the incumbent table is held.
 	Search bool
 	// SearchDeadline is the per-shard search budget, converted to a
 	// deterministic evaluation count so the published table never
@@ -83,19 +76,6 @@ type ControllerConfig struct {
 	Forecast forecast.Config
 }
 
-// planner is the optimizer interface the controller drives: the
-// monolithic Optimizer and the decomposed ShardedOptimizer both satisfy
-// it, producing equivalent plans (differential-tested).
-type planner interface {
-	Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error)
-	Stats() OptimizerStats
-	// snapshotState / restoreState carry the optimizer's warm state
-	// (simplex bases, shard fingerprints, cached sub-plans) across a
-	// controller failover.
-	snapshotState() *OptimizerSnapshot
-	restoreState(*OptimizerSnapshot) error
-}
-
 // Controller is SLATE's global controller: it ingests telemetry windows,
 // maintains demand estimates and latency profiles, re-optimizes, and
 // publishes routing tables with bounded per-period movement. It is
@@ -111,7 +91,7 @@ type Controller struct {
 	history *SampleHistory
 	demand  Demand
 	fc      *forecast.Forecaster // nil unless cfg.Predictive
-	opt     planner
+	opt     *ShardedOptimizer
 
 	cur     *routing.Table
 	prev    *routing.Table
@@ -148,13 +128,9 @@ func NewController(top *topology.Topology, app *appgraph.App, cfg ControllerConf
 		}
 		fc = forecast.New(fcfg)
 	}
-	var opt planner = NewOptimizer(top, app, cfg.Optimizer)
-	if cfg.Decompose || cfg.Search {
-		so := NewShardedOptimizer(top, app, cfg.Optimizer, cfg.SkipEpsilon)
-		if cfg.Search {
-			so.EnableSearch(RaceConfig{Deadline: cfg.SearchDeadline, MaxGap: cfg.MaxGap})
-		}
-		opt = so
+	opt := NewShardedOptimizer(top, app, cfg.Optimizer)
+	if cfg.Search {
+		opt.EnableSearch(RaceConfig{Deadline: cfg.SearchDeadline, MaxGap: cfg.MaxGap})
 	}
 	return &Controller{
 		cfg:     cfg,

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/almost"
 	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/queuemodel"
 	"github.com/servicelayernetworking/slate/internal/telemetry"
@@ -43,7 +44,7 @@ func TestControllerLearnsDemandAndPublishes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Tick: %v", err)
 	}
-	if got := c.Demand()["default"][topology.West]; !almostEqual(got, 900) {
+	if got := c.Demand()["default"][topology.West]; !almost.Equal(got, 900) {
 		t.Errorf("demand west = %v, want 900", got)
 	}
 	// Overload must produce at least one non-local rule.
@@ -69,7 +70,7 @@ func TestControllerEWMASmoothing(t *testing.T) {
 	c.Tick(frontendStats(app, "default", 400, 100, 20*time.Millisecond), time.Second)
 	c.Tick(frontendStats(app, "default", 600, 100, 20*time.Millisecond), time.Second)
 	got := c.Demand()["default"][topology.West]
-	if !almostEqual(got, 500) { // 400*0.5 + 600*0.5
+	if !almost.Equal(got, 500) { // 400*0.5 + 600*0.5
 		t.Errorf("smoothed demand = %v, want 500", got)
 	}
 }
@@ -84,7 +85,7 @@ func TestControllerDemandDecay(t *testing.T) {
 			RPS: 100, Requests: 100, MeanLatency: 20 * time.Millisecond},
 	}, time.Second)
 	got := c.Demand()["default"][topology.West]
-	if !almostEqual(got, 200) {
+	if !almost.Equal(got, 200) {
 		t.Errorf("decayed demand = %v, want 200", got)
 	}
 }
@@ -194,7 +195,7 @@ func TestSampleHistoryCapsLength(t *testing.T) {
 	if len(samples) != 4 {
 		t.Fatalf("history length = %d, want 4", len(samples))
 	}
-	if !almostEqual(samples[0].Lambda, 7) || !almostEqual(samples[3].Lambda, 10) {
+	if !almost.Equal(samples[0].Lambda, 7) || !almost.Equal(samples[3].Lambda, 10) {
 		t.Errorf("history should keep the most recent samples: %+v", samples)
 	}
 }
@@ -212,7 +213,7 @@ func TestSampleHistoryMergesClasses(t *testing.T) {
 	if len(samples) != 1 {
 		t.Fatalf("samples = %d, want 1 merged", len(samples))
 	}
-	if !almostEqual(samples[0].Lambda, 150) {
+	if !almost.Equal(samples[0].Lambda, 150) {
 		t.Errorf("merged lambda = %v, want 150", samples[0].Lambda)
 	}
 	// Weighted mean latency: (100*10 + 50*40)/150 = 20ms.

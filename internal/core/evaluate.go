@@ -18,9 +18,6 @@ import (
 // tables that lose flow (weight pointing at clusters without replicas,
 // or no usable rule for a triple that carries traffic).
 func (f *formulation) assign(table *routing.Table, demand Demand) ([]float64, error) {
-	if f.useMILP {
-		return nil, fmt.Errorf("core: cannot evaluate a table against a MILP formulation")
-	}
 	C := len(f.clusters)
 	x := make([]float64, f.model.NumVars())
 	exec := make([]float64, len(f.nodes)*C)

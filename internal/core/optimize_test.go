@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/almost"
 	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/routing"
 	"github.com/servicelayernetworking/slate/internal/topology"
@@ -92,7 +93,7 @@ func TestOffloadGrowsAsRTTShrinks(t *testing.T) {
 			t.Errorf("offload fraction should not grow with RTT: %v", fracs)
 		}
 	}
-	if fracs[0] <= fracs[len(fracs)-1] && almostEqual(fracs[0], 0) {
+	if fracs[0] <= fracs[len(fracs)-1] && almost.Equal(fracs[0], 0) {
 		t.Logf("note: no offload at any RTT: %v", fracs)
 	}
 }
@@ -272,10 +273,10 @@ func TestOptimizeRuleWeightsNormalized(t *testing.T) {
 
 func TestDemandTotal(t *testing.T) {
 	d := Demand{"c": {topology.West: 2, topology.East: 3}}
-	if got := d.Total("c"); !almostEqual(got, 5) {
+	if got := d.Total("c"); !almost.Equal(got, 5) {
 		t.Errorf("Total = %v, want 5", got)
 	}
-	if got := d.Total("missing"); !almostEqual(got, 0) {
+	if got := d.Total("missing"); !almost.Equal(got, 0) {
 		t.Errorf("Total(missing) = %v, want 0", got)
 	}
 }
@@ -313,7 +314,7 @@ func TestRoutingTableLookupChainsToLocalFallback(t *testing.T) {
 	}
 	// A class the optimizer never saw falls back to local.
 	d := plan.Table.Lookup("svc-1", "ghost-class", topology.West)
-	if !almostEqual(d.Weight(topology.West), 1) {
+	if !almost.Equal(d.Weight(topology.West), 1) {
 		// There may be an exact "default" rule but no wildcard; ghost
 		// classes must still route somewhere.
 		if d.IsZero() {
@@ -321,91 +322,6 @@ func TestRoutingTableLookupChainsToLocalFallback(t *testing.T) {
 		}
 	}
 	_ = routing.AnyClass
-}
-
-func TestOptimizePinClassesAllOrNothing(t *testing.T) {
-	// Without pinning, the overload scenario splits svc-1 traffic from
-	// west fractionally. With the class pinned, every rule must route
-	// 100% to a single cluster, and the solution stays feasible.
-	p := chainProblem(40*time.Millisecond, 900, 100, Config{})
-	plan, err := p.Optimize(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := plan.Table.Lookup("svc-1", "default", topology.West)
-	if len(d.Clusters()) < 2 {
-		t.Fatalf("unpinned plan should split traffic, got %v", d)
-	}
-
-	// Pin at a demand that still fits a single pool (700 < 760 cap):
-	// the MILP must produce only single-destination rules.
-	relaxed := chainProblem(40*time.Millisecond, 700, 100, Config{})
-	relaxedPlan, err := relaxed.Optimize(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pinned := chainProblem(40*time.Millisecond, 700, 100, Config{PinClasses: []string{"default"}})
-	pinnedPlan, err := pinned.Optimize(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, k := range pinnedPlan.Table.Keys() {
-		dist, _ := pinnedPlan.Table.Get(k)
-		if n := len(dist.Clusters()); n != 1 {
-			t.Errorf("pinned rule %v splits across %d clusters: %v", k, n, dist)
-		}
-	}
-	// Pinning restricts the feasible set: objective can only get worse
-	// (or stay equal).
-	if pinnedPlan.Objective < relaxedPlan.Objective-1e-6 {
-		t.Errorf("pinned objective %v better than relaxed %v", pinnedPlan.Objective, relaxedPlan.Objective)
-	}
-	for _, l := range pinnedPlan.Loads {
-		if l.Utilization > 0.95+1e-9 {
-			t.Errorf("pinned pool %v over cap: %v", l.Key, l.Utilization)
-		}
-	}
-}
-
-func TestOptimizePinClassesInfeasibleWhenUnsplittable(t *testing.T) {
-	// West demand 900 pinned all-or-nothing cannot fit in either single
-	// pool (cap 760): the MILP must report infeasibility.
-	p := chainProblem(40*time.Millisecond, 900, 0, Config{PinClasses: []string{"default"}})
-	_, err := p.Optimize(1)
-	if err == nil {
-		t.Skip("pinned 900 fit a single pool: capacity model changed")
-	}
-	if !strings.Contains(err.Error(), "infeasible") {
-		t.Fatalf("err = %v, want infeasible", err)
-	}
-}
-
-func TestOptimizePinOnlyAffectsNamedClass(t *testing.T) {
-	top := topology.TwoClusters(30 * time.Millisecond)
-	app := appgraph.TwoClassApp(appgraph.TwoClassOptions{
-		LightTime: 2 * time.Millisecond,
-		HeavyTime: 20 * time.Millisecond,
-		Pool:      appgraph.ReplicaPool{Replicas: 2, Concurrency: 4},
-	})
-	demand := Demand{
-		"L": {topology.West: 400, topology.East: 50},
-		"H": {topology.West: 330, topology.East: 50},
-	}
-	p := &Problem{Top: top, App: app, Demand: demand,
-		Profiles: DefaultProfiles(app, top, demand),
-		Config:   Config{PinClasses: []string{"L"}}}
-	plan, err := p.Optimize(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dl := plan.Table.Lookup(string(appgraph.TwoClassWorker), "L", topology.West)
-	if len(dl.Clusters()) != 1 {
-		t.Errorf("pinned class L splits: %v", dl)
-	}
-	dh := plan.Table.Lookup(string(appgraph.TwoClassWorker), "H", topology.West)
-	if dh.Weight(topology.East) <= 0 || dh.Weight(topology.East) >= 1 {
-		t.Errorf("unpinned class H should split fractionally: %v", dh)
-	}
 }
 
 // propagateLoads independently recomputes per-pool raw loads by pushing

@@ -18,10 +18,6 @@ import (
 // basis. At steady state a tick costs a handful of phase-2 pivots
 // instead of a full two-phase solve over a freshly built model.
 //
-// Classes listed in Config.PinClasses force the MILP path, whose big-M
-// constants depend on demand; the Optimizer then formulates from scratch
-// every call, exactly like Problem.Optimize.
-//
 // Not safe for concurrent use.
 type Optimizer struct {
 	top    *topology.Topology
@@ -46,11 +42,11 @@ type OptimizerStats struct {
 	// WarmSolves counts solves that installed the previous basis and
 	// skipped phase 1.
 	WarmSolves uint64
-	// ColdSolves counts solves from scratch (first tick, basis gone
-	// stale, or MILP path).
+	// ColdSolves counts solves from scratch (first tick or basis gone
+	// stale).
 	ColdSolves uint64
 	// Shards is the number of independent subproblems the app
-	// decomposed into (0 for the monolithic Optimizer).
+	// decomposed into (0 for a bare Optimizer).
 	Shards uint64
 	// SubSolves counts subproblem solves actually run by a
 	// ShardedOptimizer.
@@ -84,12 +80,6 @@ func (o *Optimizer) Stats() OptimizerStats { return o.stats }
 func (o *Optimizer) Optimize(demand Demand, profiles Profiles, version uint64) (*Plan, error) {
 	if o.top == nil || o.app == nil {
 		return nil, fmt.Errorf("core: optimizer missing topology or app")
-	}
-	if len(o.cfg.PinClasses) > 0 {
-		o.stats.Builds++
-		o.stats.ColdSolves++
-		p := &Problem{Top: o.top, App: o.app, Demand: demand, Profiles: profiles, Config: o.cfg}
-		return p.Optimize(version)
 	}
 	if err := o.ensure(demand, profiles); err != nil {
 		return nil, err

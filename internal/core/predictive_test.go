@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/almost"
 	"github.com/servicelayernetworking/slate/internal/forecast"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -25,7 +26,7 @@ func TestControllerPredictivePlansAhead(t *testing.T) {
 		}
 	}
 	est := c.Demand()["default"][topology.West]
-	if !almostEqual(est, 600) {
+	if !almost.Equal(est, 600) {
 		t.Fatalf("estimate west = %v, want 600 (smoothing 1)", est)
 	}
 	planned := c.planDemand()
@@ -57,7 +58,7 @@ func TestControllerPredictiveNeverStarves(t *testing.T) {
 		}
 	}
 	est := c.Demand()["default"][topology.West]
-	if got := c.planDemand()["default"][topology.West]; !almostEqual(got, est) {
+	if got := c.planDemand()["default"][topology.West]; !almost.Equal(got, est) {
 		t.Errorf("planned west = %v, want estimate %v (downward forecasts ignored)", got, est)
 	}
 }

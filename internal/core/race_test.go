@@ -47,7 +47,7 @@ func TestRaceSearchServesWarmShards(t *testing.T) {
 	top, app := raceFixture()
 	profiles := DefaultProfiles(app, top, starDemand(app, 500, 100))
 
-	s := NewShardedOptimizer(top, app, Config{}, 0)
+	s := NewShardedOptimizer(top, app, Config{})
 	s.EnableSearch(RaceConfig{MoveBudget: 1 << 14})
 	if _, err := s.Optimize(starDemand(app, 500, 100), profiles, 1); err != nil {
 		t.Fatal(err)
@@ -101,9 +101,9 @@ func TestRaceAbandonsWideGap(t *testing.T) {
 	app := starTestApp(4, front, pool, topology.West, topology.East)
 	profiles := DefaultProfiles(app, top, starDemand(app, 500, 100))
 
-	raced := NewShardedOptimizer(top, app, Config{}, 0)
+	raced := NewShardedOptimizer(top, app, Config{})
 	raced.EnableSearch(RaceConfig{MoveBudget: 1, MaxGap: 1e-12})
-	plain := NewShardedOptimizer(top, app, Config{}, 0)
+	plain := NewShardedOptimizer(top, app, Config{})
 
 	for tick, west := range []float64{500, 700, 620} {
 		rp, err := raced.Optimize(starDemand(app, west, 100), profiles, uint64(tick+1))
@@ -137,7 +137,7 @@ func TestSearchRaceDeterminism(t *testing.T) {
 
 	run := func() []string {
 		var tables []string
-		s := NewShardedOptimizer(top, app, Config{}, 0)
+		s := NewShardedOptimizer(top, app, Config{})
 		s.EnableSearch(RaceConfig{MoveBudget: 4096})
 		for tick, west := range []float64{500, 640, 580, 700} {
 			plan, err := s.Optimize(starDemand(app, west, 100), profiles, uint64(tick+1))
@@ -170,8 +170,8 @@ func TestSearchRaceDeterminism(t *testing.T) {
 	}
 }
 
-// TestControllerSearchConfig: Search implies the decomposed pipeline
-// with the race armed, end to end through the controller.
+// TestControllerSearchConfig: Search arms the race on the controller's
+// sharded planner, end to end through the controller.
 func TestControllerSearchConfig(t *testing.T) {
 	top, app := raceFixture()
 	c, err := NewController(top, app, ControllerConfig{
@@ -181,11 +181,7 @@ func TestControllerSearchConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	so, ok := c.opt.(*ShardedOptimizer)
-	if !ok {
-		t.Fatalf("Search config did not select the sharded optimizer: %T", c.opt)
-	}
-	if so.race == nil {
+	if c.opt.race == nil {
 		t.Fatal("race not armed")
 	}
 

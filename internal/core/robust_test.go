@@ -222,7 +222,7 @@ func TestRobustShardedMatchesMonolithic(t *testing.T) {
 	demand["cb"][topology.West] = 500
 	profs := DefaultProfiles(app, top, demand)
 
-	sharded := NewShardedOptimizer(top, app, cfg, 0)
+	sharded := NewShardedOptimizer(top, app, cfg)
 	if sharded.Shards() < 2 {
 		t.Fatalf("want ≥ 2 shards, got %d", sharded.Shards())
 	}
@@ -257,7 +257,7 @@ func TestRobustRaceStaysFeasible(t *testing.T) {
 		appgraph.ReplicaPool{Replicas: 2, Concurrency: 4}, topology.West, topology.East)
 	demand := starDemand(app, 350, 80)
 	profs := DefaultProfiles(app, top, demand)
-	so := NewShardedOptimizer(top, app, cfg, 0)
+	so := NewShardedOptimizer(top, app, cfg)
 	so.EnableSearch(RaceConfig{MaxGap: gap})
 
 	for tick := 1; tick <= 12; tick++ {

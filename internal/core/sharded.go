@@ -28,19 +28,22 @@ import (
 //
 // Dirty-tracking: each shard fingerprints its inputs (its classes'
 // demand plus its pools' profiles); when a tick's fingerprint matches
-// the last solved one within epsilon, the shard's cached sub-plan is
+// the last solved one within skipEps, the shard's cached sub-plan is
 // reused and the solve is skipped entirely.
+//
+// It is the controller's only planner. A monolithic solve is its
+// one-shard case (single, or a one-class app), which formulates the
+// untouched app exactly as a whole-app Optimizer would.
 //
 // Not safe for concurrent use.
 type ShardedOptimizer struct {
-	top     *topology.Topology
-	app     *appgraph.App
-	cfg     Config // normalized
-	skipEps float64
-	shards  []*shard
-	single  bool // fell back to one shard (frontend called at a non-root position)
-	race    *RaceConfig
-	stats   OptimizerStats
+	top    *topology.Topology
+	app    *appgraph.App
+	cfg    Config // normalized
+	shards []*shard
+	single bool // fell back to one shard (frontend called at a non-root position)
+	race   *RaceConfig
+	stats  OptimizerStats
 }
 
 // shard is one independent subproblem: a subset of classes, the
@@ -55,18 +58,15 @@ type shard struct {
 	plan    *Plan             // result of the last successful solve
 }
 
-// DefaultSkipEpsilon is the relative input-change threshold below which
-// a shard's previous solution is reused without re-solving.
-const DefaultSkipEpsilon = 1e-9
+// skipEps is the relative input-change threshold below which a shard's
+// previous solution is reused without re-solving.
+const skipEps = 1e-9
 
-// NewShardedOptimizer partitions the app into subproblems. skipEps <= 0
-// uses DefaultSkipEpsilon. The partition depends only on the app's call
-// trees, so it is computed once.
-func NewShardedOptimizer(top *topology.Topology, app *appgraph.App, cfg Config, skipEps float64) *ShardedOptimizer {
-	if skipEps <= 0 {
-		skipEps = DefaultSkipEpsilon
-	}
-	s := &ShardedOptimizer{top: top, app: app, cfg: cfg.normalized(), skipEps: skipEps}
+// NewShardedOptimizer partitions the app into subproblems. The
+// partition depends only on the app's call trees, so it is computed
+// once.
+func NewShardedOptimizer(top *topology.Topology, app *appgraph.App, cfg Config) *ShardedOptimizer {
+	s := &ShardedOptimizer{top: top, app: app, cfg: cfg.normalized()}
 	s.partition()
 	return s
 }
@@ -151,21 +151,12 @@ func (s *ShardedOptimizer) newShard(classes []*appgraph.Class) *shard {
 			services[n.Service] = s.app.Services[n.Service]
 		})
 	}
-	cfg := s.cfg
-	cfg.PinClasses = nil
-	for _, p := range s.cfg.PinClasses {
-		for _, cl := range classes {
-			if cl.Name == p {
-				cfg.PinClasses = append(cfg.PinClasses, p)
-			}
-		}
-	}
 	sub := &appgraph.App{
 		Name:     s.app.Name,
 		Services: services,
 		Classes:  classes,
 	}
-	return &shard{classes: classes, app: sub, opt: NewOptimizer(s.top, sub, cfg)}
+	return &shard{classes: classes, app: sub, opt: NewOptimizer(s.top, sub, s.cfg)}
 }
 
 // Stats reports cumulative solve counters, aggregated over shards.
@@ -196,7 +187,7 @@ func (s *ShardedOptimizer) Optimize(demand Demand, profiles Profiles, version ui
 	plans := make([]*Plan, len(s.shards))
 	for i, sh := range s.shards {
 		fp := s.fingerprint(sh, demand, profiles)
-		if sh.plan != nil && fingerprintsEqual(sh.fp, fp, s.skipEps) {
+		if sh.plan != nil && fingerprintsEqual(sh.fp, fp) {
 			s.stats.SkippedSolves++
 			plans[i] = sh.plan
 			continue
@@ -251,13 +242,13 @@ func (s *ShardedOptimizer) fingerprint(sh *shard, demand Demand, profiles Profil
 	return fp
 }
 
-// fingerprintsEqual compares input vectors with a purely relative
-// epsilon. A zero entry only ever matches another zero: the comparison
+// fingerprintsEqual compares input vectors with the purely relative
+// skipEps. A zero entry only ever matches another zero: the comparison
 // used to mix in an absolute floor (eps·max(1, |a|, |b|)), under which
 // a 0 → small swing — exactly what the forecaster injects when a quiet
 // stream first stirs — compared "equal" and wrongly skipped the
 // shard's re-solve (pinned by TestShardDirtyOnZeroToSmallSwing).
-func fingerprintsEqual(a, b []float64, eps float64) bool {
+func fingerprintsEqual(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -271,7 +262,7 @@ func fingerprintsEqual(a, b []float64, eps float64) bool {
 		if a[i] == 0 || b[i] == 0 { //slate:nolint floatcmp -- zero ↔ nonzero must always read as dirty, however small the value
 			return false
 		}
-		if math.Abs(a[i]-b[i]) > eps*math.Max(math.Abs(a[i]), math.Abs(b[i])) {
+		if math.Abs(a[i]-b[i]) > skipEps*math.Max(math.Abs(a[i]), math.Abs(b[i])) {
 			return false
 		}
 	}

@@ -82,14 +82,14 @@ func TestShardedPartition(t *testing.T) {
 	front := appgraph.ReplicaPool{Replicas: 2, Concurrency: 64}
 
 	app := starTestApp(4, front, pool, topology.West, topology.East)
-	s := NewShardedOptimizer(top, app, Config{}, 0)
+	s := NewShardedOptimizer(top, app, Config{})
 	if s.Shards() != 4 {
 		t.Errorf("star app shards = %d, want 4", s.Shards())
 	}
 
 	// Single class: one shard.
 	chain := appgraph.LinearChain(appgraph.ChainOptions{})
-	if got := NewShardedOptimizer(top, chain, Config{}, 0).Shards(); got != 1 {
+	if got := NewShardedOptimizer(top, chain, Config{}).Shards(); got != 1 {
 		t.Errorf("single-class shards = %d, want 1", got)
 	}
 
@@ -102,7 +102,7 @@ func TestShardedPartition(t *testing.T) {
 		Service: "gateway", Method: "POST", Path: "/loop",
 		Work: appgraph.Work{MeanServiceTime: 100 * time.Microsecond}, Count: 1,
 	}}
-	if got := NewShardedOptimizer(top, coupled, Config{}, 0).Shards(); got != 1 {
+	if got := NewShardedOptimizer(top, coupled, Config{}).Shards(); got != 1 {
 		t.Errorf("frontend-coupled shards = %d, want 1 (fallback)", got)
 	}
 }
@@ -114,7 +114,7 @@ func TestShardedMatchesMonolithic(t *testing.T) {
 	profs := DefaultProfiles(app, top, Demand{})
 
 	mono := NewOptimizer(top, app, Config{})
-	dec := NewShardedOptimizer(top, app, Config{}, 0)
+	dec := NewShardedOptimizer(top, app, Config{})
 
 	// Several ticks with drifting demand, exercising both the cold and
 	// warm solve paths of every subproblem.
@@ -152,7 +152,7 @@ func TestShardedSkipsUnchangedSubproblems(t *testing.T) {
 	app := starTestApp(3, appgraph.ReplicaPool{Replicas: 2, Concurrency: 64},
 		appgraph.ReplicaPool{Replicas: 2, Concurrency: 4}, topology.West, topology.East)
 	profs := DefaultProfiles(app, top, Demand{})
-	dec := NewShardedOptimizer(top, app, Config{}, 0)
+	dec := NewShardedOptimizer(top, app, Config{})
 
 	d := starDemand(app, 800, 100)
 	if _, err := dec.Optimize(d, profs, 1); err != nil {
@@ -209,7 +209,7 @@ func TestShardDirtyOnZeroToSmallSwing(t *testing.T) {
 	app := starTestApp(3, appgraph.ReplicaPool{Replicas: 2, Concurrency: 64},
 		appgraph.ReplicaPool{Replicas: 2, Concurrency: 4}, topology.West, topology.East)
 	profs := DefaultProfiles(app, top, Demand{})
-	dec := NewShardedOptimizer(top, app, Config{}, 0)
+	dec := NewShardedOptimizer(top, app, Config{})
 
 	d := starDemand(app, 800, 100)
 	d["cb"][topology.East] = 0
@@ -269,7 +269,7 @@ func TestShardedAggregateInfeasibility(t *testing.T) {
 	if monoErr == nil || !strings.Contains(monoErr.Error(), "infeasible") {
 		t.Fatalf("monolithic error = %v, want infeasible", monoErr)
 	}
-	dec := NewShardedOptimizer(top, app, Config{}, 0)
+	dec := NewShardedOptimizer(top, app, Config{})
 	_, decErr := dec.Optimize(d, profs, 1)
 	if decErr == nil || !strings.Contains(decErr.Error(), "infeasible") {
 		t.Fatalf("decomposed error = %v, want infeasible", decErr)
@@ -280,48 +280,44 @@ func TestShardedAggregateInfeasibility(t *testing.T) {
 	if _, err := NewOptimizer(top, app, Config{}).Optimize(small, profs, 1); err != nil {
 		t.Fatalf("single class monolithic: %v", err)
 	}
-	if _, err := NewShardedOptimizer(top, app, Config{}, 0).Optimize(small, profs, 1); err != nil {
+	if _, err := NewShardedOptimizer(top, app, Config{}).Optimize(small, profs, 1); err != nil {
 		t.Fatalf("single class decomposed: %v", err)
 	}
 }
 
+// TestControllerDecomposeConfig pins that the deprecated Decompose
+// field is ignored: both values drive the same sharded planner, so
+// they publish identical tables with identical solve counters.
 func TestControllerDecomposeConfig(t *testing.T) {
 	top := topology.TwoClusters(40 * time.Millisecond)
 	app := starTestApp(2, appgraph.ReplicaPool{Replicas: 2, Concurrency: 64},
 		appgraph.ReplicaPool{Replicas: 2, Concurrency: 4}, topology.West, topology.East)
 
-	ctrl, err := NewController(top, app, ControllerConfig{Decompose: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl.SetDemand(starDemand(app, 900, 100))
-	if _, err := ctrl.Prime(); err != nil {
-		t.Fatal(err)
-	}
-	st := ctrl.OptimizerStats()
-	if st.Shards != 2 || st.SubSolves != 2 {
-		t.Errorf("controller stats = %+v, want 2 shards / 2 sub-solves", st)
-	}
-
-	mctrl, err := NewController(top, app, ControllerConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mctrl.SetDemand(starDemand(app, 900, 100))
-	if _, err := mctrl.Prime(); err != nil {
-		t.Fatal(err)
-	}
-	keys := ctrl.Table().Keys()
-	if len(keys) == 0 {
-		t.Fatal("decomposed controller published no rules")
-	}
-	for _, k := range keys {
-		dw := ctrl.Table().Lookup(k.Service, k.Class, k.Cluster).Weights()
-		mw := mctrl.Table().Lookup(k.Service, k.Class, k.Cluster).Weights()
-		for c, w := range dw {
-			if math.Abs(w-mw[c]) > 1e-6 {
-				t.Errorf("rule %v: decomposed %.6f vs monolithic %.6f", k, w, mw[c])
+	run := func(decompose bool) *Controller {
+		ctrl, err := NewController(top, app, ControllerConfig{Decompose: decompose})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrl.SetDemand(starDemand(app, 900, 100))
+		if _, err := ctrl.Prime(); err != nil {
+			t.Fatal(err)
+		}
+		for _, scale := range []float64{1, 1.1} {
+			if _, err := ctrl.Tick(starStats(app, scale), time.Second); err != nil {
+				t.Fatal(err)
 			}
 		}
+		return ctrl
+	}
+	on, off := run(true), run(false)
+	if len(on.Table().Keys()) == 0 {
+		t.Fatal("controller published no rules")
+	}
+	requireSameTable(t, "Decompose true vs false", on.Table(), off.Table())
+	if on.OptimizerStats() != off.OptimizerStats() {
+		t.Errorf("stats differ: Decompose true %+v, false %+v", on.OptimizerStats(), off.OptimizerStats())
+	}
+	if st := on.OptimizerStats(); st.Shards != 2 || st.SubSolves < 2 {
+		t.Errorf("controller stats = %+v, want 2 shards and at least 2 sub-solves", st)
 	}
 }

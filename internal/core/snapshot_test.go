@@ -79,15 +79,14 @@ func requireSameTable(t *testing.T, ctx string, want, got interface{ MarshalJSON
 
 // TestSnapshotRestoreBitIdentical is the failover contract: a restored
 // controller publishes bit-identical tables and serves its first
-// post-restore tick warm (no cold solves), across the monolithic,
+// post-restore tick warm (no cold solves), across the plain
 // decomposed, robust, search-race, and predictive configurations.
 func TestSnapshotRestoreBitIdentical(t *testing.T) {
 	configs := map[string]ControllerConfig{
-		"monolithic": {DemandSmoothing: 1},
-		"decomposed": {DemandSmoothing: 1, Decompose: true},
-		"robust":     {DemandSmoothing: 1, Decompose: true, Robust: true, DemandMargin: 0.25, Budget: 1},
+		"decomposed": {DemandSmoothing: 1},
+		"robust":     {DemandSmoothing: 1, Robust: true, DemandMargin: 0.25, Budget: 1},
 		"search":     {DemandSmoothing: 1, Search: true},
-		"predictive": {DemandSmoothing: 1, Decompose: true, Predictive: true},
+		"predictive": {DemandSmoothing: 1, Predictive: true},
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -98,9 +97,8 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			}
 
 			// First post-restore tick repeats the last window: every shard's
-			// fingerprint is clean, so the decomposed pipelines skip solves
-			// outright and the monolithic one warm-starts from the restored
-			// basis. Either way: zero cold solves.
+			// fingerprint is clean, so the planner skips solves outright:
+			// zero cold solves.
 			ta, err := a.Tick(starStats(app, 1), time.Second)
 			if err != nil {
 				t.Fatalf("original tick: %v", err)
@@ -114,12 +112,8 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			if st.ColdSolves != 0 {
 				t.Fatalf("first post-restore tick ran %d cold solves, want 0 (stats %+v)", st.ColdSolves, st)
 			}
-			if cfg.Decompose || cfg.Search {
-				if st.SkippedSolves == 0 {
-					t.Fatalf("clean-input tick skipped no shards (stats %+v)", st)
-				}
-			} else if st.WarmSolves == 0 {
-				t.Fatalf("monolithic post-restore tick was not warm (stats %+v)", st)
+			if st.SkippedSolves == 0 {
+				t.Fatalf("clean-input tick skipped no shards (stats %+v)", st)
 			}
 
 			// Second post-restore tick drifts demand by 2% — the
@@ -144,36 +138,73 @@ func TestSnapshotRestoreBitIdentical(t *testing.T) {
 			if cfg.Search && st.SearchSolves+st.SimplexWins == 0 {
 				t.Fatalf("search race did not arm from the restored incumbent (stats %+v)", st)
 			}
-			if (cfg.Decompose || cfg.Search) && st.SubSolves == 0 {
+			if st.SubSolves == 0 {
 				t.Fatalf("dirty tick solved no shards (stats %+v)", st)
 			}
 		})
 	}
 }
 
-// TestSnapshotRestoreShapeMismatch pins that a snapshot from a
-// different optimizer configuration is rejected whole, not half-applied.
+// TestSnapshotRestoreShapeMismatch pins that a snapshot whose shard
+// count differs from the controller's partition is rejected whole, not
+// half-applied — including a one-shard snapshot in the format the
+// monolithic planner used to write — while that legacy format still
+// warm-starts a one-shard controller, whose LP it was solved on.
 func TestSnapshotRestoreShapeMismatch(t *testing.T) {
 	top := topology.TwoClusters(40 * time.Millisecond)
-	app := starTestApp(2, appgraph.ReplicaPool{Replicas: 2, Concurrency: 64},
-		appgraph.ReplicaPool{Replicas: 2, Concurrency: 4}, topology.West, topology.East)
-	mono, err := NewController(top, app, ControllerConfig{})
+	star := func(classes int) *appgraph.App {
+		return starTestApp(classes, appgraph.ReplicaPool{Replicas: 2, Concurrency: 64},
+			appgraph.ReplicaPool{Replicas: 2, Concurrency: 4}, topology.West, topology.East)
+	}
+	newCtrl := func(app *appgraph.App) *Controller {
+		c, err := NewController(top, app, ControllerConfig{DemandSmoothing: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	two := newCtrl(star(2))
+	three := newCtrl(star(3))
+	if err := two.Restore(three.Snapshot()); err == nil {
+		t.Fatal("restoring a 3-shard snapshot into a 2-shard controller did not fail")
+	}
+
+	// The monolithic planner's snapshot: one shard carrying only the
+	// whole-app basis, tagged "sharded": false.
+	oneApp := star(1)
+	mono := NewOptimizer(top, oneApp, Config{})
+	if _, err := mono.Optimize(starDemand(oneApp, 500, 80), DefaultProfiles(oneApp, top, Demand{}), 1); err != nil {
+		t.Fatal(err)
+	}
+	basis, err := json.Marshal(mono.basis)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := NewController(top, app, ControllerConfig{Decompose: true})
-	if err != nil {
+	legacy := []byte(`{"format":1,"version":1,"optimizer":{"sharded":false,"shards":[{"basis":` + string(basis) + `}]}}`)
+	restore := func(c *Controller) error {
+		var snap ControllerSnapshot
+		if err := json.Unmarshal(legacy, &snap); err != nil {
+			t.Fatal(err)
+		}
+		return c.Restore(&snap)
+	}
+	if err := restore(two); err == nil {
+		t.Fatal("restoring a one-shard monolithic snapshot into a 2-shard controller did not fail")
+	}
+	one := newCtrl(oneApp)
+	if err := restore(one); err != nil {
+		t.Fatalf("restoring a one-shard monolithic snapshot into a one-shard controller: %v", err)
+	}
+	if _, err := one.Tick(starStats(oneApp, 1.02), time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.Restore(mono.Snapshot()); err == nil {
-		t.Fatal("restoring a monolithic snapshot into a decomposed controller did not fail")
+	if st := one.OptimizerStats(); st.WarmSolves != 1 || st.ColdSolves != 0 {
+		t.Fatalf("legacy basis did not warm-start the one-shard controller (stats %+v)", st)
 	}
-	if err := mono.Restore(dec.Snapshot()); err == nil {
-		t.Fatal("restoring a decomposed snapshot into a monolithic controller did not fail")
-	}
-	bad := mono.Snapshot()
+
+	bad := two.Snapshot()
 	bad.Format = SnapshotFormat + 1
-	if err := mono.Restore(bad); err == nil {
+	if err := two.Restore(bad); err == nil {
 		t.Fatal("restoring an unknown snapshot format did not fail")
 	}
 }
@@ -182,7 +213,7 @@ func TestSnapshotRestoreShapeMismatch(t *testing.T) {
 // state twice yields identical bytes (the control plane compares and
 // caches encoded snapshots).
 func TestSnapshotEncodingDeterministic(t *testing.T) {
-	a, _, _ := snapshotTestPair(t, ControllerConfig{DemandSmoothing: 1, Decompose: true, Predictive: true})
+	a, _, _ := snapshotTestPair(t, ControllerConfig{DemandSmoothing: 1, Predictive: true})
 	b1, err := json.Marshal(a.Snapshot())
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func TestMeshReplicatedControlPlaneFailsOver(t *testing.T) {
 		NetemScale: 0.1,
 		Seed:       1,
 		Fault:      inj,
-		Controller: core.ControllerConfig{DemandSmoothing: 1, Decompose: true},
+		Controller: core.ControllerConfig{DemandSmoothing: 1},
 		Replicas:   3,
 		HA:         controlplane.HAConfig{LeaseTTL: ttl, EventThreshold: -1},
 	})

@@ -92,7 +92,7 @@ func Chaos(opt Options) (*Figure, error) {
 			// into one sink would collide trace IDs across legs.
 			s.SpanSink = opt.SpanSink
 		}
-		ctrl, err := core.NewController(top, app, core.ControllerConfig{Decompose: true})
+		ctrl, err := core.NewController(top, app, core.ControllerConfig{})
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"testing"
 	"time"
+
+	"github.com/servicelayernetworking/slate/internal/almost"
 )
 
 func TestChaosHardeningWins(t *testing.T) {
@@ -14,27 +16,27 @@ func TestChaosHardeningWins(t *testing.T) {
 
 	// The hardened dataplane must keep serving through the whole
 	// incident: zero failed requests, full availability.
-	if !almostEqual(s["hardened_failed"], 0) {
+	if !almost.Equal(s["hardened_failed"], 0) {
 		t.Errorf("hardened run failed %v requests", s["hardened_failed"])
 	}
 	if s["hardened_availability"] < 0.999 {
 		t.Errorf("hardened availability = %v, want ~1", s["hardened_availability"])
 	}
 	// The stale-forever baseline keeps routing into the cut link.
-	if almostEqual(s["unhardened_failed"], 0) {
+	if almost.Equal(s["unhardened_failed"], 0) {
 		t.Error("unhardened baseline shows no failures")
 	}
 	if s["availability_gain"] <= 0 {
 		t.Errorf("availability gain = %v, want > 0", s["availability_gain"])
 	}
 	// Both runs see the same control-plane outage.
-	if !almostEqual(s["hardened_missed_ticks"], s["unhardened_missed_ticks"]) ||
-		almostEqual(s["hardened_missed_ticks"], 0) {
+	if !almost.Equal(s["hardened_missed_ticks"], s["unhardened_missed_ticks"]) ||
+		almost.Equal(s["hardened_missed_ticks"], 0) {
 		t.Errorf("missed ticks: hardened %v, unhardened %v",
 			s["hardened_missed_ticks"], s["unhardened_missed_ticks"])
 	}
 	// Only the hardened run degrades to local routing.
-	if almostEqual(s["hardened_degraded_calls"], 0) || !almostEqual(s["unhardened_degraded_calls"], 0) {
+	if almost.Equal(s["hardened_degraded_calls"], 0) || !almost.Equal(s["unhardened_degraded_calls"], 0) {
 		t.Errorf("degraded calls: hardened %v, unhardened %v",
 			s["hardened_degraded_calls"], s["unhardened_degraded_calls"])
 	}

@@ -14,44 +14,51 @@ import (
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
-// teePolicy drives the simulation with the monolithic controller while
-// feeding the identical telemetry stream to a shadow decomposed
-// controller, asserting every tick that the two emit equivalent tables.
-// This is the differential proof that decomposition is an optimization,
-// not a semantic change.
+// teePolicy drives the simulation with the controller — whose planner
+// is the sharded, fingerprint-skipping pipeline — while a whole-app
+// core.Optimizer solves the controller's own demand and profiles every
+// time it plans, asserting that the two emit equivalent tables. This is
+// the differential proof that decomposition is an optimization, not a
+// semantic change. Every case runs with MaxStep 0 and no guard, so a
+// planning tick publishes its plan unstepped.
 type teePolicy struct {
-	t      *testing.T
-	mono   *core.Controller
-	shadow *core.Controller
-	ticks  int
+	t        *testing.T
+	ctrl     *core.Controller
+	ref      *core.Optimizer
+	ticks    int
+	compared int
 }
 
 func (p *teePolicy) Name() string { return "slate" }
 
 func (p *teePolicy) Init() (*routing.Table, error) {
-	shadowTab, err := p.shadow.Prime()
-	if err != nil {
-		return nil, err
-	}
-	monoTab, err := p.mono.Prime()
-	if err != nil {
-		return nil, err
-	}
-	tablesEquivalent(p.t, "prime", monoTab, shadowTab, 1e-6)
-	return monoTab, nil
+	tab, err := p.ctrl.Prime()
+	p.compare("prime", tab, err)
+	return tab, err
 }
 
 func (p *teePolicy) Tick(stats []telemetry.WindowStats, window time.Duration) (*routing.Table, error) {
-	monoTab, monoErr := p.mono.Tick(stats, window)
-	shadowTab, shadowErr := p.shadow.Tick(stats, window)
-	if (monoErr == nil) != (shadowErr == nil) {
-		p.t.Errorf("tick %d: monolithic err = %v, decomposed err = %v", p.ticks, monoErr, shadowErr)
-	}
-	if monoErr == nil && shadowErr == nil {
-		tablesEquivalent(p.t, "tick", monoTab, shadowTab, 1e-6)
+	before := p.ctrl.Version()
+	tab, err := p.ctrl.Tick(stats, window)
+	if p.ctrl.Version() != before {
+		p.compare("tick", tab, err)
 	}
 	p.ticks++
-	return monoTab, monoErr
+	return tab, err
+}
+
+// compare solves the reference on the controller's current inputs at
+// the version the controller just planned and checks the outcomes agree.
+func (p *teePolicy) compare(at string, tab *routing.Table, err error) {
+	p.compared++
+	plan, refErr := p.ref.Optimize(p.ctrl.Demand(), p.ctrl.Profiles(), p.ctrl.Version())
+	if (err == nil) != (refErr == nil) {
+		p.t.Errorf("%s %d: decomposed err = %v, monolithic err = %v", at, p.ticks, err, refErr)
+		return
+	}
+	if err == nil {
+		tablesEquivalent(p.t, at, plan.Table, tab, 1e-6)
+	}
 }
 
 // tablesEquivalent compares routing decisions over the union of keys
@@ -202,31 +209,24 @@ func differentialCases(t *testing.T) []differentialCase {
 
 // TestDecomposedMatchesMonolithic proves the sharded incremental
 // pipeline is behavior-preserving: across every fig6 scenario and the
-// chaos fault schedule, a decomposed controller fed the same telemetry
-// as the monolithic one emits equivalent routing tables on every tick.
+// chaos fault schedule, the controller emits the same routing tables on
+// every planning tick as a whole-app optimizer given its inputs.
 func TestDecomposedMatchesMonolithic(t *testing.T) {
 	for _, tc := range differentialCases(t) {
 		t.Run(tc.name, func(t *testing.T) {
-			demand := demandFromWorkload(tc.scn)
-			newCtrl := func(decompose bool) *core.Controller {
-				cfg := tc.cfg
-				cfg.Decompose = decompose
-				ctrl, err := core.NewController(tc.scn.Top, tc.scn.App, cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctrl.SetDemand(copyDemand(demand))
-				return ctrl
+			ctrl, err := core.NewController(tc.scn.Top, tc.scn.App, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-			tee := &teePolicy{t: t, mono: newCtrl(false), shadow: newCtrl(true)}
+			ctrl.SetDemand(copyDemand(demandFromWorkload(tc.scn)))
+			tee := &teePolicy{t: t, ctrl: ctrl, ref: core.NewOptimizer(tc.scn.Top, tc.scn.App, tc.cfg.Optimizer)}
 			if _, err := simrun.Run(tc.scn, tee); err != nil {
 				t.Fatal(err)
 			}
-			if tee.ticks == 0 {
-				t.Fatal("tee policy never ticked; differential comparison is vacuous")
+			if tee.ticks == 0 || tee.compared <= 1 {
+				t.Fatalf("tee policy ticked %d times and compared %d plans; differential comparison is vacuous", tee.ticks, tee.compared)
 			}
-			decStats := tee.shadow.OptimizerStats()
-			if decStats.Shards == 0 {
+			if ctrl.OptimizerStats().Shards == 0 {
 				t.Errorf("decomposed controller reports 0 shards")
 			}
 		})

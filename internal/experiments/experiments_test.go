@@ -5,6 +5,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"github.com/servicelayernetworking/slate/internal/almost"
 )
 
 // fast returns reduced-duration options so the test suite stays quick;
@@ -30,7 +32,7 @@ func TestFig3Shapes(t *testing.T) {
 	opt := byName["slate-optimal"]
 	lookup := func(s Series, x float64) (float64, bool) {
 		for i := range s.X {
-			if almostEqual(s.X[i], x) {
+			if almost.Equal(s.X[i], x) {
 				return s.Y[i], true
 			}
 		}
@@ -79,7 +81,7 @@ func TestFig4ThresholdShapes(t *testing.T) {
 	}
 	// At low load everything stays local; at 1000 RPS some offload must
 	// happen (west cap is 760).
-	if !almostEqual(rtt50.Y[0], rtt50.X[0]) {
+	if !almost.Equal(rtt50.Y[0], rtt50.X[0]) {
 		t.Error("at 100 RPS everything should stay local")
 	}
 	last := len(rtt5.X) - 1
@@ -185,7 +187,7 @@ func TestDownsampleCDF(t *testing.T) {
 	if len(d.X) != 10 {
 		t.Fatalf("len = %d, want 10", len(d.X))
 	}
-	if !almostEqual(d.X[0], 0) || !almostEqual(d.X[9], 999) {
+	if !almost.Equal(d.X[0], 0) || !almost.Equal(d.X[9], 999) {
 		t.Errorf("endpoints = %v, %v", d.X[0], d.X[9])
 	}
 	// Short series pass through.

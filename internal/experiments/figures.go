@@ -190,7 +190,7 @@ func Fig6a(opt Options) (*Figure, error) {
 		Warmup:   opt.Warmup,
 		Seed:     opt.Seed,
 	}
-	cmp, err := runPair(scn, demand, core.ControllerConfig{Decompose: true}, waterfallFrac)
+	cmp, err := runPair(scn, demand, core.ControllerConfig{}, waterfallFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +238,7 @@ func Fig6b(opt Options) (*Figure, error) {
 		Warmup:   opt.Warmup,
 		Seed:     opt.Seed,
 	}
-	cmp, err := runPair(scn, demand, core.ControllerConfig{Decompose: true}, waterfallFrac)
+	cmp, err := runPair(scn, demand, core.ControllerConfig{}, waterfallFrac)
 	if err != nil {
 		return nil, err
 	}
@@ -298,7 +298,7 @@ func Fig6c(opt Options) (*Figure, error) {
 	// SLATE jointly optimizes latency and egress cost. The cost weight
 	// makes $1/s of egress equal 10^4 request-seconds/s of latency —
 	// an administrator that values bandwidth cost (paper §4.1).
-	slateCfg := core.ControllerConfig{Optimizer: core.Config{LatencyWeight: 1, CostWeight: 1e4}, Decompose: true}
+	slateCfg := core.ControllerConfig{Optimizer: core.Config{LatencyWeight: 1, CostWeight: 1e4}}
 	cmp, err := runPair(scn, demand, slateCfg, waterfallFrac)
 	if err != nil {
 		return nil, err
@@ -353,7 +353,7 @@ func Fig6d(opt Options) (*Figure, error) {
 		Warmup:   opt.Warmup,
 		Seed:     opt.Seed,
 	}
-	cmp, err := runPair(scn, demand, core.ControllerConfig{Decompose: true}, waterfallFrac)
+	cmp, err := runPair(scn, demand, core.ControllerConfig{}, waterfallFrac)
 	if err != nil {
 		return nil, err
 	}

@@ -103,7 +103,7 @@ func GapCurve(opt Options) (*Figure, error) {
 
 	// Reference: the same warm-start tick solved by the sharded simplex
 	// alone. Wall time for the perturbed tick goes into the notes.
-	ref := core.NewShardedOptimizer(g.Top, g.App, core.Config{}, 0)
+	ref := core.NewShardedOptimizer(g.Top, g.App, core.Config{})
 	if _, err := ref.Optimize(base, profiles, 1); err != nil {
 		return nil, fmt.Errorf("gapcurve: reference cold tick: %w", err)
 	}
@@ -120,7 +120,7 @@ func GapCurve(opt Options) (*Figure, error) {
 	gapSeries := Series{Name: "achieved gap", XLabel: "move-evaluation budget", YLabel: "gap vs simplex"}
 	shareSeries := Series{Name: "search share", XLabel: "move-evaluation budget", YLabel: "fraction of shards won"}
 	for _, budget := range []int{32, 64, 128, 256, 512, 1024, 2048, 4096} {
-		s := core.NewShardedOptimizer(g.Top, g.App, core.Config{}, 0)
+		s := core.NewShardedOptimizer(g.Top, g.App, core.Config{})
 		s.EnableSearch(core.RaceConfig{MoveBudget: budget, MaxGap: 1.0})
 		if _, err := s.Optimize(base, profiles, 1); err != nil {
 			return nil, fmt.Errorf("gapcurve: budget %d cold tick: %w", budget, err)

@@ -139,7 +139,7 @@ func runHAChaosLeg(opt Options, n, kill int, demandAt func(int) haChaosDemand, r
 		NetemScale: 0.1,
 		Seed:       opt.Seed,
 		Fault:      inj,
-		Controller: core.ControllerConfig{DemandSmoothing: 1, Decompose: true},
+		Controller: core.ControllerConfig{DemandSmoothing: 1},
 	}
 	if replicated {
 		mo.Replicas = 3

@@ -126,17 +126,18 @@ func (w *wireProbe) measure(tab *routing.Table, statsByCluster map[topology.Clus
 // pipelineResult holds one size point of the monolithic-vs-decomposed
 // control-loop comparison.
 type pipelineResult struct {
-	monoMS, decMS       float64 // median steady tick wall ms
+	monoMS, decMS       float64 // median steady whole-app solve / controller tick wall ms
 	monoBytes, decBytes float64 // mean control-plane bytes per steady tick
 	skipRate            float64 // skipped/(skipped+solved) over steady ticks
 	shards              float64
 	perturbSolves       float64 // sub-solves triggered by one class change
 }
 
-// runPipelineSize drives two controllers — one monolithic, one
-// decomposed — through identical telemetry: a warm-up tick, steady
-// ticks with unchanged stats, and one perturbed tick touching a single
-// class. n is both the cluster count and the class count.
+// runPipelineSize drives the decomposed controller through a warm-up
+// tick, steady ticks with unchanged stats, and one perturbed tick
+// touching a single class. The monolithic leg times a whole-app
+// core.Optimizer warm re-solve on the controller's demand and profiles
+// each steady tick. n is both the cluster count and the class count.
 func runPipelineSize(n, steadyTicks int) (*pipelineResult, error) {
 	top := ringTopology(n)
 	app := starApp(n, top.ClusterIDs())
@@ -156,26 +157,24 @@ func runPipelineSize(n, steadyTicks int) (*pipelineResult, error) {
 		byCluster[c] = append(byCluster[c], ws)
 	}
 
-	newCtrl := func(decompose bool) (*core.Controller, error) {
-		ctrl, err := core.NewController(top, app, core.ControllerConfig{
-			DemandSmoothing: 1, Decompose: decompose,
-		})
-		if err != nil {
-			return nil, err
-		}
-		ctrl.SetDemand(demand)
-		if _, err := ctrl.Prime(); err != nil {
-			return nil, err
-		}
-		return ctrl, nil
-	}
-	mono, err := newCtrl(false)
-	if err != nil {
-		return nil, fmt.Errorf("pipeline n=%d monolithic: %w", n, err)
-	}
-	dec, err := newCtrl(true)
+	dec, err := core.NewController(top, app, core.ControllerConfig{DemandSmoothing: 1})
 	if err != nil {
 		return nil, fmt.Errorf("pipeline n=%d decomposed: %w", n, err)
+	}
+	dec.SetDemand(demand)
+	if _, err := dec.Prime(); err != nil {
+		return nil, fmt.Errorf("pipeline n=%d decomposed: %w", n, err)
+	}
+	mono := core.NewOptimizer(top, app, core.Config{})
+	var monoVersion uint64
+	solveMono := func() (float64, error) {
+		monoVersion++
+		start := time.Now()
+		_, err := mono.Optimize(dec.Demand(), dec.Profiles(), monoVersion)
+		return float64(time.Since(start)) / 1e6, err
+	}
+	if _, err := solveMono(); err != nil {
+		return nil, fmt.Errorf("pipeline n=%d monolithic: %w", n, err)
 	}
 
 	probe := newWireProbe()
@@ -187,7 +186,7 @@ func runPipelineSize(n, steadyTicks int) (*pipelineResult, error) {
 
 	// Warm-up tick: converges the demand EWMA and seeds the wire probe
 	// so steady ticks measure the incremental steady state.
-	if _, _, err := tick(mono, steady); err != nil {
+	if _, err := solveMono(); err != nil {
 		return nil, err
 	}
 	_, tab, err := tick(dec, steady)
@@ -202,7 +201,7 @@ func runPipelineSize(n, steadyTicks int) (*pipelineResult, error) {
 	before := dec.OptimizerStats()
 	var monoMS, decMS []float64
 	for t := 0; t < steadyTicks; t++ {
-		ms, _, err := tick(mono, steady)
+		ms, err := solveMono()
 		if err != nil {
 			return nil, err
 		}
@@ -280,9 +279,11 @@ func median(xs []float64) float64 {
 // pipelineSweep appends the monolithic-vs-decomposed control-loop
 // series to the scalability figure: per-tick wall time and control-
 // plane bytes as clusters and classes grow together (n clusters × n
-// classes). The decomposed pipeline skips unchanged subproblems and
-// ships patches/deltas, so both series should fall well below the
-// monolithic full-solve, full-fan-out loop at scale.
+// classes). The monolithic tick series is one whole-app warm LP
+// re-solve; the decomposed one is a full controller tick. The
+// decomposed pipeline skips unchanged subproblems and ships
+// patches/deltas, so both series should fall well below the monolithic
+// full-solve, full-fan-out loop at scale.
 func pipelineSweep(fig *Figure) error {
 	const steadyTicks = 5
 	tm := Series{Name: "tick-ms-monolithic", XLabel: "clusters = classes", YLabel: "steady tick ms (median)"}

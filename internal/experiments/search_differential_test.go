@@ -102,7 +102,6 @@ func TestSearchRaceMatchesSimplex(t *testing.T) {
 			demand := demandFromWorkload(tc.scn)
 			newCtrl := func(search bool) *core.Controller {
 				cfg := tc.cfg
-				cfg.Decompose = true
 				if search {
 					cfg.Search = true
 					cfg.MaxGap = searchTeeGap

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/servicelayernetworking/slate/internal/almost"
 )
 
 func TestMM1MatchesClosedForm(t *testing.T) {
@@ -38,10 +40,10 @@ func TestErlangCBounds(t *testing.T) {
 			t.Errorf("ErlangC(%v) = %v out of [0,1]", lambda, c)
 		}
 	}
-	if !almostEqual(m.ErlangC(0), 0) {
+	if !almost.Equal(m.ErlangC(0), 0) {
 		t.Error("ErlangC(0) != 0")
 	}
-	if !almostEqual(m.ErlangC(m.Capacity()), 1) {
+	if !almost.Equal(m.ErlangC(m.Capacity()), 1) {
 		t.Error("ErlangC at capacity != 1")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/almost"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -27,7 +28,7 @@ func TestDistributionNormalizes(t *testing.T) {
 	if w := d.Weight("b"); math.Abs(w-0.75) > 1e-12 {
 		t.Errorf("weight b = %v, want 0.75", w)
 	}
-	if w := d.Weight("c"); !almostEqual(w, 0) {
+	if w := d.Weight("c"); !almost.Equal(w, 0) {
 		t.Errorf("weight c = %v, want 0", w)
 	}
 }
@@ -95,7 +96,7 @@ func TestPickFrequenciesMatchWeights(t *testing.T) {
 
 func TestLocal(t *testing.T) {
 	d := Local("west")
-	if d.Pick(0.99) != "west" || !almostEqual(d.Weight("west"), 1) {
+	if d.Pick(0.99) != "west" || !almost.Equal(d.Weight("west"), 1) {
 		t.Error("Local distribution wrong")
 	}
 }
@@ -107,16 +108,16 @@ func TestTableLookupFallbacks(t *testing.T) {
 		{"svc", "H", "west"}:      exact,
 		{"svc", AnyClass, "west"}: wild,
 	})
-	if got := tab.Lookup("svc", "H", "west"); !almostEqual(got.Weight("a"), 1) {
+	if got := tab.Lookup("svc", "H", "west"); !almost.Equal(got.Weight("a"), 1) {
 		t.Error("exact class lookup failed")
 	}
-	if got := tab.Lookup("svc", "L", "west"); !almostEqual(got.Weight("b"), 1) {
+	if got := tab.Lookup("svc", "L", "west"); !almost.Equal(got.Weight("b"), 1) {
 		t.Error("wildcard fallback failed")
 	}
-	if got := tab.Lookup("svc", "L", "east"); !almostEqual(got.Weight("east"), 1) {
+	if got := tab.Lookup("svc", "L", "east"); !almost.Equal(got.Weight("east"), 1) {
 		t.Error("local fallback failed")
 	}
-	if got := tab.Lookup("other", "H", "west"); !almostEqual(got.Weight("west"), 1) {
+	if got := tab.Lookup("other", "H", "west"); !almost.Equal(got.Weight("west"), 1) {
 		t.Error("unknown service should route local")
 	}
 }
@@ -325,7 +326,7 @@ func TestPickNeverSelectsZeroWeightProperty(t *testing.T) {
 		for _, w := range weights {
 			total += w
 		}
-		if almostEqual(total, 0) {
+		if almost.Equal(total, 0) {
 			return true // invalid distribution, constructor rejects it
 		}
 		d, err := NewDistribution(weights)

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/servicelayernetworking/slate/internal/almost"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -35,7 +36,7 @@ func TestLoadPresetScenario(t *testing.T) {
 	if len(app.Services) != 3 { // gateway + 2
 		t.Errorf("services = %d", len(app.Services))
 	}
-	if !almostEqual(demand["default"][topology.West], 500) {
+	if !almost.Equal(demand["default"][topology.West], 500) {
 		t.Errorf("demand = %v", demand)
 	}
 }
@@ -88,7 +89,7 @@ func TestLoadExplicitScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !almostEqual(top.EgressCostPerGB("a", "b"), 0.02) {
+	if !almost.Equal(top.EgressCostPerGB("a", "b"), 0.02) {
 		t.Errorf("egress = %v", top.EgressCostPerGB("a", "b"))
 	}
 	cl := app.Class("main")
@@ -99,7 +100,7 @@ func TestLoadExplicitScenario(t *testing.T) {
 	if be.Work.Dist.String() != "deterministic" {
 		t.Errorf("dist = %v", be.Work.Dist)
 	}
-	if !almostEqual(demand["main"]["a"], 50) {
+	if !almost.Equal(demand["main"]["a"], 50) {
 		t.Errorf("demand = %v", demand)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/almost"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
 
@@ -26,13 +27,13 @@ func TestFlashCrowdShape(t *testing.T) {
 			continue
 		}
 		west++
-		if got := spec.RateAt(10 * time.Second); !almostEqual(got, 700) {
+		if got := spec.RateAt(10 * time.Second); !almost.Equal(got, 700) {
 			t.Errorf("base rate %v, want 700", got)
 		}
-		if got := spec.RateAt(23 * time.Second); !almostEqual(got, 950) {
+		if got := spec.RateAt(23 * time.Second); !almost.Equal(got, 950) {
 			t.Errorf("spike rate %v, want 950", got)
 		}
-		if got := spec.RateAt(30 * time.Second); !almostEqual(got, 700) {
+		if got := spec.RateAt(30 * time.Second); !almost.Equal(got, 700) {
 			t.Errorf("recovered rate %v, want 700", got)
 		}
 		// The spike edge lands exactly on a control boundary.
@@ -61,7 +62,7 @@ func TestAdversarialWalkDeterministicAndBoxed(t *testing.T) {
 		if aw[i] != bw[i] { //slate:nolint floatcmp -- same seed must reproduce bit-identical phases
 			t.Fatalf("step %d: %v vs %v for the same seed", i, aw[i], bw[i])
 		}
-		if !almostEqual(aw[i], lo) && !almostEqual(aw[i], hi) {
+		if !almost.Equal(aw[i], lo) && !almost.Equal(aw[i], hi) {
 			t.Errorf("step %d: rate %v is not a box corner (%v or %v)", i, aw[i], lo, hi)
 		}
 		if i > 0 && aw[i] != aw[i-1] { //slate:nolint floatcmp -- corner values are assigned, not computed
@@ -94,7 +95,7 @@ func TestDiurnalSwingConservesTotal(t *testing.T) {
 	for ts := time.Duration(0); ts < scn.Duration; ts += StressControlPeriod {
 		w := scn.Workload[0].RateAt(ts)
 		e := scn.Workload[1].RateAt(ts)
-		if !almostEqual(w+e, 1000) {
+		if !almost.Equal(w+e, 1000) {
 			t.Fatalf("t=%v: total %v, want 1000 (antiphase)", ts, w+e)
 		}
 		if w > peak {

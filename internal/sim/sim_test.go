@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/servicelayernetworking/slate/internal/almost"
 )
 
 func TestKernelOrdersEventsByTime(t *testing.T) {
@@ -246,7 +248,7 @@ func TestRNGExpMean(t *testing.T) {
 
 func TestRNGExpNonPositiveMean(t *testing.T) {
 	g := NewRNG(1)
-	if !almostEqual(g.Exp(0), 0) || !almostEqual(g.Exp(-5), 0) {
+	if !almost.Equal(g.Exp(0), 0) || !almost.Equal(g.Exp(-5), 0) {
 		t.Error("Exp with non-positive mean should return 0")
 	}
 }

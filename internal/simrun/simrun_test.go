@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/almost"
 	"github.com/servicelayernetworking/slate/internal/appgraph"
 	"github.com/servicelayernetworking/slate/internal/baseline"
 	"github.com/servicelayernetworking/slate/internal/core"
@@ -138,7 +139,7 @@ func TestRunnerRemoteRoutingPaysRTT(t *testing.T) {
 		t.Error("remote fraction not accounted")
 	}
 	// Nothing was served fully locally in west.
-	if rps := res.LocalServedRPS[topology.West]; !almostEqual(rps, 0) {
+	if rps := res.LocalServedRPS[topology.West]; !almost.Equal(rps, 0) {
 		t.Errorf("LocalServedRPS west = %v, want 0", rps)
 	}
 }
@@ -412,7 +413,7 @@ func TestRunnerCDF(t *testing.T) {
 	if len(cdf) == 0 {
 		t.Fatal("empty CDF")
 	}
-	if last := cdf[len(cdf)-1]; !almostEqual(last.Fraction, 1) {
+	if last := cdf[len(cdf)-1]; !almost.Equal(last.Fraction, 1) {
 		t.Errorf("CDF should end at 1, got %v", last.Fraction)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/servicelayernetworking/slate/internal/almost"
 )
 
 func TestHistogramBasics(t *testing.T) {
@@ -128,7 +130,7 @@ func TestHistogramCDFMonotone(t *testing.T) {
 		}
 		prevF, prevL = p.Fraction, p.Latency
 	}
-	if last := cdf[len(cdf)-1].Fraction; !almostEqual(last, 1.0) {
+	if last := cdf[len(cdf)-1].Fraction; !almost.Equal(last, 1.0) {
 		t.Errorf("CDF should end at 1.0, got %v", last)
 	}
 }
@@ -280,7 +282,7 @@ func TestAggregatorFlush(t *testing.T) {
 	if stats[0].Key != k2 || stats[1].Key != k1 {
 		t.Fatalf("order = %v", stats)
 	}
-	if stats[1].Requests != 10 || !almostEqual(stats[1].RPS, 5) {
+	if stats[1].Requests != 10 || !almost.Equal(stats[1].RPS, 5) {
 		t.Errorf("k1 stats = %+v, want 10 reqs, 5 rps", stats[1])
 	}
 	if stats[1].EgressBytes != 1000 {
@@ -324,7 +326,7 @@ func TestMergeWeightsMeans(t *testing.T) {
 		t.Fatalf("merge = %d entries", len(out))
 	}
 	ws := out[0]
-	if ws.Requests != 40 || !almostEqual(ws.RPS, 40) || ws.EgressBytes != 12 {
+	if ws.Requests != 40 || !almost.Equal(ws.RPS, 40) || ws.EgressBytes != 12 {
 		t.Errorf("merged = %+v", ws)
 	}
 	// Weighted mean: (10*10 + 30*30)/40 = 25ms.

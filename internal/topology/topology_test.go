@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"github.com/servicelayernetworking/slate/internal/almost"
 )
 
 func TestBuilderValidation(t *testing.T) {
@@ -140,17 +142,17 @@ func TestNearestTieBreaksByID(t *testing.T) {
 
 func TestEgressCost(t *testing.T) {
 	top := TwoClusters(40 * time.Millisecond)
-	if c := top.EgressCostPerGB(West, West); !almostEqual(c, 0) {
+	if c := top.EgressCostPerGB(West, West); !almost.Equal(c, 0) {
 		t.Errorf("intra-cluster egress = %v, want 0", c)
 	}
-	if c := top.EgressCostPerGB(West, East); !almostEqual(c, DefaultEgressPerGB) {
+	if c := top.EgressCostPerGB(West, East); !almost.Equal(c, DefaultEgressPerGB) {
 		t.Errorf("egress = %v, want %v", c, DefaultEgressPerGB)
 	}
 	// 1 GiB across costs exactly the per-GB price.
-	if c := top.EgressCost(West, East, 1<<30); !almostEqual(c, DefaultEgressPerGB) {
+	if c := top.EgressCost(West, East, 1<<30); !almost.Equal(c, DefaultEgressPerGB) {
 		t.Errorf("EgressCost(1GiB) = %v, want %v", c, DefaultEgressPerGB)
 	}
-	if c := top.EgressCost(West, East, 0); !almostEqual(c, 0) {
+	if c := top.EgressCost(West, East, 0); !almost.Equal(c, 0) {
 		t.Errorf("EgressCost(0) = %v, want 0", c)
 	}
 }
@@ -161,7 +163,7 @@ func TestEgressCostOverride(t *testing.T) {
 		SetRTT("a", "b", time.Millisecond).
 		SetEgressCost("a", "b", 0.08).
 		MustBuild()
-	if c := top.EgressCostPerGB("a", "b"); !almostEqual(c, 0.08) {
+	if c := top.EgressCostPerGB("a", "b"); !almost.Equal(c, 0.08) {
 		t.Errorf("egress override = %v, want 0.08", c)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/servicelayernetworking/slate/internal/almost"
 	"github.com/servicelayernetworking/slate/internal/sim"
 	"github.com/servicelayernetworking/slate/internal/topology"
 )
@@ -43,7 +44,7 @@ func TestRateAt(t *testing.T) {
 		{time.Hour, 100}, // open-ended tail
 	}
 	for _, tc := range cases {
-		if got := s.RateAt(tc.t); !almostEqual(got, tc.want) {
+		if got := s.RateAt(tc.t); !almost.Equal(got, tc.want) {
 			t.Errorf("RateAt(%v) = %v, want %v", tc.t, got, tc.want)
 		}
 	}
@@ -54,7 +55,7 @@ func TestRateAtEndedSchedule(t *testing.T) {
 		{RPS: 100, Duration: 10 * time.Second},
 		{RPS: 50, Duration: 10 * time.Second},
 	}}
-	if got := s.RateAt(25 * time.Second); !almostEqual(got, 0) {
+	if got := s.RateAt(25 * time.Second); !almost.Equal(got, 0) {
 		t.Errorf("ended schedule rate = %v, want 0", got)
 	}
 }
@@ -152,19 +153,19 @@ func TestMeanRatePiecewise(t *testing.T) {
 		{30 * time.Second, 40 * time.Second, 100}, // open-ended tail
 	}
 	for _, c := range cases {
-		if got := s.MeanRate(c.from, c.to); !almostEqual(got, c.want) {
+		if got := s.MeanRate(c.from, c.to); !almost.Equal(got, c.want) {
 			t.Errorf("MeanRate(%v, %v) = %v, want %v", c.from, c.to, got, c.want)
 		}
 	}
 	// Degenerate window falls back to the instantaneous rate.
-	if got := s.MeanRate(12*time.Second, 12*time.Second); !almostEqual(got, 1000) {
+	if got := s.MeanRate(12*time.Second, 12*time.Second); !almost.Equal(got, 1000) {
 		t.Errorf("zero-width MeanRate = %v, want 1000", got)
 	}
 }
 
 func TestMeanRateEndedStream(t *testing.T) {
 	s := Spec{Class: "c", Cluster: topology.West, Phases: []Phase{{RPS: 200, Duration: 10 * time.Second}}}
-	if got := s.MeanRate(5*time.Second, 15*time.Second); !almostEqual(got, 100) {
+	if got := s.MeanRate(5*time.Second, 15*time.Second); !almost.Equal(got, 100) {
 		t.Errorf("ended-stream MeanRate = %v, want 100", got)
 	}
 	if got := s.MeanRate(20*time.Second, 30*time.Second); got != 0 { //slate:nolint floatcmp -- exact zero for a dead stream
